@@ -24,6 +24,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard};
 
 use rfc_core::params::Phase;
 use rfc_core::runner::{build_network_slots, honest_slot_factory, RunConfig};
@@ -42,10 +43,22 @@ use rfc_core::RngDiscipline;
 /// allocations (workers grow the data-plane buffers), so it arms
 /// [`ALL_THREADS`] instead — its generous per-round ceiling absorbs
 /// the harness's couple of stray allocations.
+///
+/// The counter and the all-threads flag are process-wide while libtest
+/// runs the tests on parallel threads, so every test holds [`WINDOW`]
+/// for its whole body: no test's allocations can land in another's
+/// measurement window.
 struct CountingAlloc;
 
 static ALLOC_CALLS: AtomicU64 = AtomicU64::new(0);
 static ALL_THREADS: AtomicBool = AtomicBool::new(false);
+static WINDOW: Mutex<()> = Mutex::new(());
+
+/// Run this test alone among the file's tests (see [`CountingAlloc`]).
+/// A failed test poisons the lock; the next one still runs.
+fn exclusive() -> MutexGuard<'static, ()> {
+    WINDOW.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
 
 thread_local! {
     static MEASURING: Cell<bool> = const { Cell::new(false) };
@@ -140,6 +153,7 @@ fn assert_steady(engine: &str, phase: &str, allocs: u64) {
 
 #[test]
 fn monolithic_steady_state_rounds_are_zero_alloc() {
+    let _alone = exclusive();
     let cfg = RunConfig::builder(64).gamma(3.0).colors(vec![32, 32]).build();
     for (phase, allocs) in measure(&cfg, 7, false, false) {
         assert_steady("monolithic engine", phase, allocs);
@@ -148,6 +162,7 @@ fn monolithic_steady_state_rounds_are_zero_alloc() {
 
 #[test]
 fn staged_single_shard_steady_state_rounds_are_zero_alloc() {
+    let _alone = exclusive();
     // The staged engine's scratch (CSR ledgers, delivery bitsets, pull
     // records, per-shard counters) must also reach a high-water mark and
     // stay there. At one shard every stage runs inline — no pool
@@ -161,10 +176,11 @@ fn staged_single_shard_steady_state_rounds_are_zero_alloc() {
 
 #[test]
 fn staged_multi_shard_steady_state_allocs_are_dispatch_only() {
+    let _alone = exclusive();
     // With real shards, the only allowed allocator traffic is the
-    // ScopedPool's job dispatch: one `Box<dyn FnOnce>` (plus a channel
-    // node) per spawned job, a *constant per round* that never grows
-    // with rounds run or data volume. The agent-plane and ledger
+    // ScopedPool's job dispatch: one `Box<dyn FnOnce>` per spawned job
+    // (the queue keeps its capacity), a *constant per round* that never
+    // grows with rounds run or data volume. The agent-plane and ledger
     // buffers themselves must stay at their high-water mark, which is
     // what the generous-but-constant per-round ceiling pins.
     let mut cfg = RunConfig::builder(64).gamma(3.0).colors(vec![32, 32]).build();
@@ -173,7 +189,8 @@ fn staged_multi_shard_steady_state_allocs_are_dispatch_only() {
     cfg.shard_floor = Some(0);
     let q = cfg.params().q;
     let measured_rounds = (q - 4.min(q)) as u64;
-    // ≤ 4 shards × ~6 dispatch points per round × 2 allocations each.
+    // ≤ 4 shards × ~6 dispatch points per round, with room for 2
+    // allocations each.
     let per_round_ceiling = 48;
     for (phase, allocs) in measure(&cfg, 7, true, true) {
         assert!(
@@ -186,6 +203,7 @@ fn staged_multi_shard_steady_state_allocs_are_dispatch_only() {
 
 #[test]
 fn lossy_steady_state_rounds_are_zero_alloc() {
+    let _alone = exclusive();
     // Loss draws must come from stream state, not fresh buffers — for
     // the monolithic engine and the staged engine's inline path alike.
     let mut cfg = RunConfig::builder(48)

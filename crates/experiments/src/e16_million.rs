@@ -190,6 +190,7 @@ pub fn run_with_sizes(opts: &ExpOptions, sizes: &[usize]) -> Vec<Table> {
     // the staged engine, reported as a second table. Observability only
     // — the timing clocks never feed the digest.
     let mut stage_rows: Vec<Vec<String>> = Vec::new();
+    let mut busy_rows: Vec<Vec<String>> = Vec::new();
     for &n in sizes {
         let cfg_for = |threads: usize| {
             RunConfig::builder(n)
@@ -258,11 +259,25 @@ pub fn run_with_sizes(opts: &ExpOptions, sizes: &[usize]) -> Vec<Table> {
                     (st.meter_us / 1000).to_string(),
                     (st.log_us / 1000).to_string(),
                     (st.resolve_us / 1000).to_string(),
+                    (st.pull_apply_us / 1000).to_string(),
                     (st.apply_us / 1000).to_string(),
                     format!(
                         "{:.1}",
                         100.0 * st.meter_log_us() as f64 / st.exchange_us.max(1) as f64
                     ),
+                ]);
+                let b = st.busy;
+                let ms = |us: u64| (us / 1000).to_string();
+                busy_rows.push(vec![
+                    n.to_string(),
+                    threads.to_string(),
+                    ms(b.plan_us),
+                    ms(b.meter_us),
+                    ms(b.build_us),
+                    ms(b.resolve_us),
+                    ms(b.pull_apply_us),
+                    ms(b.log_us),
+                    ms(b.apply_us),
                 ]);
             }
         }
@@ -295,6 +310,7 @@ pub fn run_with_sizes(opts: &ExpOptions, sizes: &[usize]) -> Vec<Table> {
                 "meter ms",
                 "log ms",
                 "resolve ms",
+                "pull-apply ms",
                 "apply ms",
                 "meter+log %",
             ],
@@ -302,9 +318,29 @@ pub fn run_with_sizes(opts: &ExpOptions, sizes: &[usize]) -> Vec<Table> {
         for row in stage_rows {
             st.row(row);
         }
-        st.note("cumulative wall-clock per stage across the whole run; build/meter/log/resolve are sub-clocks of exchange (they need not sum to it — the remainder is reply production)");
+        st.note("cumulative wall-clock per stage across the whole run; build/meter/log/resolve/pull-apply are sub-clocks of exchange (they need not sum to it — the remainder is bookkeeping between them)");
         st.note("meter+log % is the exchange share of the two formerly serial passes the sharded tally-merge and op-log scatter drained");
         tables.push(st);
+        let mut busy = Table::new(
+            "E16 — staged-engine worker-busy time per stage (--stage-times)".to_string(),
+            &[
+                "n",
+                "shards",
+                "plan ms",
+                "meter ms",
+                "build ms",
+                "resolve ms",
+                "pull-apply ms",
+                "log ms",
+                "apply ms",
+            ],
+        );
+        for row in busy_rows {
+            busy.row(row);
+        }
+        busy.note("summed wall time of each stage's pool jobs; a one-shard row runs every stage inline, dispatches no jobs and reads zero");
+        busy.note("at k shards, k × stage wall − busy is idle time (imbalance, dispatch, serial sections); busy above the one-shard wall time is contention");
+        tables.push(busy);
     }
     tables
 }
@@ -382,7 +418,7 @@ mod tests {
         st.stage_times = true;
         let timed = run_with_sizes(&st, &[96]);
         assert_eq!(plain.len(), 1);
-        assert_eq!(timed.len(), 2, "--stage-times adds the breakdown table");
+        assert_eq!(timed.len(), 3, "--stage-times adds the breakdown and busy tables");
         // Timing is observability only: the main table's digest cells
         // are byte-identical with and without the clocks running.
         let digests =
@@ -391,9 +427,14 @@ mod tests {
         // One breakdown row per main row, sub-clocks in range.
         assert_eq!(timed[1].rows.len(), timed[0].rows.len());
         for row in &timed[1].rows {
-            assert_eq!(row.len(), 10, "plan/exchange/build/meter/log/resolve/apply row");
-            let pct: f64 = row[9].parse().unwrap();
+            assert_eq!(row.len(), 11, "plan/exchange/build/meter/log/resolve/pull-apply/apply row");
+            let pct: f64 = row[10].parse().unwrap();
             assert!((0.0..=100.0).contains(&pct), "bad meter+log %: {row:?}");
+        }
+        // One busy row per main row; a one-shard row dispatches no jobs.
+        assert_eq!(timed[2].rows.len(), timed[0].rows.len());
+        for row in timed[2].rows.iter().filter(|r| r[1] == "1") {
+            assert!(row[2..].iter().all(|c| c == "0"), "one shard must read zero busy: {row:?}");
         }
     }
 

@@ -113,6 +113,13 @@ impl BitSet {
         (0..self.len).filter(move |&i| self.get(i))
     }
 
+    /// The word buffer (flag `i` is bit `i % 64` of word `i / 64`), for
+    /// builders that produce whole words. Bits at or past
+    /// [`BitSet::len`] must stay zero.
+    pub(crate) fn words_mut(&mut self) -> &mut [u64] {
+        &mut self.words
+    }
+
     /// Reinterpret the word buffer for shared-atomic writes (see the
     /// module docs). The `&mut` receiver guarantees no other reference
     /// observes the words while atomics alias them.

@@ -105,7 +105,7 @@ pub use fault::FaultPlan;
 pub use ids::{AgentId, ColorId};
 pub use metrics::Metrics;
 pub use network::staged::MIN_AGENTS_PER_SHARD;
-pub use network::{Network, NetworkConfig, StageTimes};
+pub use network::{Network, NetworkConfig, StageBusy, StageTimes};
 pub use oplog::{OpEvent, OpKind, OpLog};
 pub use pool::ScopedPool;
 pub use rng::RngDiscipline;

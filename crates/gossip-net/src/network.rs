@@ -160,7 +160,7 @@ impl Default for NetworkConfig {
 /// (see [`NetworkConfig::time_stages`]). `exchange_us` covers the
 /// exchange proper plus the pull-apply leg and op-log pass of the
 /// per-agent discipline — everything between the plan barrier and the
-/// final delivery fan-out — and is itself broken into the four
+/// final delivery fan-out — and is itself broken into the five
 /// sub-clocks below under [`RngDiscipline::PerAgent`] (the sequential
 /// discipline replays the monolithic engine in one interleaved pass, so
 /// its sub-clocks stay zero).
@@ -170,7 +170,7 @@ pub struct StageTimes {
     /// scatter of per-shard plan buffers into the flat op list).
     pub plan_us: u64,
     /// Everything between the plan barrier and the delivery fan-out
-    /// (the sum of the four sub-clocks, plus loose change like the
+    /// (the sum of the five sub-clocks, plus loose change like the
     /// `mem::take` bookkeeping the sub-clocks don't cover).
     pub exchange_us: u64,
     /// The sharded push/reply delivery stage.
@@ -184,16 +184,49 @@ pub struct StageTimes {
     /// Sub-clock of `exchange_us`: the op-log write (zero when
     /// [`NetworkConfig::record_ops`] is off).
     pub log_us: u64,
-    /// Sub-clock of `exchange_us`: mask/loss verdict resolution plus the
-    /// pull-apply leg (`on_pull` handlers and reply metering).
+    /// Sub-clock of `exchange_us`: mask/loss verdict resolution.
     pub resolve_us: u64,
+    /// Sub-clock of `exchange_us`: the pull-apply leg — `on_pull`
+    /// handlers, reply metering, and the gather of replies into the
+    /// per-puller inbox.
+    pub pull_apply_us: u64,
+    /// Worker-busy time per stage, summed over the stage's pool jobs.
+    pub busy: StageBusy,
+}
+
+/// Summed wall time of the pool jobs of each staged-engine stage, µs —
+/// the work side of [`StageTimes`], whose clocks are the wall side.
+///
+/// At `k` shards a stage's wall time `w` and busy time `b` separate two
+/// failure modes: `k·w − b` is time shards sat idle (imbalance,
+/// dispatch, and the serial sections between jobs), while `b` growing
+/// beyond the one-shard wall time is contention — the same work running
+/// slower because the shards share cache lines or memory bandwidth. A
+/// stage that runs inline (one shard) dispatches no jobs, so its busy
+/// clock stays zero; its wall clock is its busy time.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct StageBusy {
+    /// The plan stage's act and concatenation jobs.
+    pub plan_us: u64,
+    /// The send-time metering jobs.
+    pub meter_us: u64,
+    /// The ledger histogram and scatter jobs.
+    pub build_us: u64,
+    /// The verdict resolution jobs.
+    pub resolve_us: u64,
+    /// The `on_pull` jobs.
+    pub pull_apply_us: u64,
+    /// The op-log scatter jobs.
+    pub log_us: u64,
+    /// The push/reply delivery jobs.
+    pub apply_us: u64,
 }
 
 impl StageTimes {
     /// Total time attributed to staged rounds, µs. The exchange
-    /// sub-clocks (`meter_us`, `build_us`, `log_us`, `resolve_us`) are
-    /// components *of* `exchange_us`, not additional time, so they do
-    /// not contribute here.
+    /// sub-clocks (`meter_us`, `build_us`, `log_us`, `resolve_us`,
+    /// `pull_apply_us`) are components *of* `exchange_us`, not
+    /// additional time, so they do not contribute here.
     pub fn total_us(&self) -> u64 {
         self.plan_us + self.exchange_us + self.apply_us
     }
@@ -600,13 +633,6 @@ impl<M: MsgSize, A: Agent<M>> Network<M, A> {
         for _ in 0..rounds {
             self.step();
         }
-    }
-
-    /// Run `rounds` rounds and then call [`Agent::finalize`] on every
-    /// active agent.
-    pub fn run_to_completion(&mut self, rounds: usize) {
-        self.run(rounds);
-        self.finalize();
     }
 
     /// Execute one synchronous round. Scenario events due this round are
@@ -1045,22 +1071,6 @@ impl<M: MsgSize, A: Agent<M>> Network<M, A> {
             }
         }
         dropped
-    }
-
-    /// Call [`Agent::finalize`] on every agent active **at finalization
-    /// time** — the survivor set: plan-active agents that are not
-    /// currently crashed. An agent that crashed and recovered before the
-    /// end is finalized; one still down is not.
-    pub fn finalize(&mut self) {
-        let ctx = RoundCtx {
-            round: self.round,
-            topology: &self.topology,
-        };
-        for id in 0..self.agents.len() {
-            if !self.fault_state.is_down(id as AgentId) {
-                self.agents[id].finalize(&ctx);
-            }
-        }
     }
 
     /// Label the current metrics phase (see [`Metrics::enter_phase`]).

@@ -24,7 +24,10 @@
 //!    ledgers are built by a sharded counting-sort pipeline
 //!    (`build_ledgers_par`: per-shard histograms → offset prefix
 //!    sum → parallel scatter → sharded mask resolution) that produces
-//!    bit-identical ledgers, verdict bitsets, and meters.
+//!    bit-identical ledgers, verdict bitsets, and meters. In a round no
+//!    mask can touch (`unmasked`: no loss, complete graph, no
+//!    partition, nobody down) mask resolution is skipped and the
+//!    verdict bitsets are built from the op kinds a word at a time.
 //! 3. **apply** — deliveries run *in parallel over receiver shards*:
 //!    first every pull query reaches its pullee's `on_pull`
 //!    ([`RngDiscipline::PerAgent`] only — see below), then every
@@ -32,6 +35,13 @@
 //!    puller's `on_reply`. A receiver's deliveries stay in ledger
 //!    (= sender-id) order, and handlers mutate only their own agent, so
 //!    the interleaving across shards is unobservable.
+//!
+//! Every sharded stage — and [`Network::finalize`] — dispatches one job
+//! per shard on the network's persistent [`crate::pool::ScopedPool`],
+//! whose caller runs a share itself. Per-shard state a job writes once
+//! per element (plan buffers, meter tallies, histogram slices) lives on
+//! the job's stack and is written back once, so shards never bounce the
+//! cache line their adjacent scratch slots share.
 //!
 //! ## Determinism: bit-identical for any thread count
 //!
@@ -96,6 +106,7 @@ use crate::bits::{atomic_set, BitSet};
 use crate::metrics::Tally;
 use crate::oplog::OpEvent;
 use crate::rng::loss_streams;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Tuned default for [`NetworkConfig::shard_floor`]: below ~2048 agents
 /// per shard the per-round barrier/merge overhead of an extra shard
@@ -354,7 +365,11 @@ impl<M: MsgSize + Send + Sync, A: Agent<M> + Send> Network<M, A> {
             RngDiscipline::Sequential => self.exchange_sequential(round),
             RngDiscipline::PerAgent => {
                 self.exchange_per_agent(round, threads);
+                let tp = timed.then(std::time::Instant::now);
                 self.apply_pulls(round, threads);
+                if let Some(t) = tp {
+                    self.stage_times.pull_apply_us += t.elapsed().as_micros() as u64;
+                }
                 let tl = timed.then(std::time::Instant::now);
                 self.log_round_ops(round, threads);
                 if let Some(t) = tl {
@@ -425,6 +440,48 @@ impl<M: MsgSize + Send + Sync, A: Agent<M> + Send> Network<M, A> {
         best
     }
 
+    /// Run `rounds` rounds and then call [`Agent::finalize`] on every
+    /// active agent.
+    pub fn run_to_completion(&mut self, rounds: usize) {
+        self.run(rounds);
+        self.finalize();
+    }
+
+    /// Call [`Agent::finalize`] on every agent active **at finalization
+    /// time** — the survivor set: plan-active agents that are not
+    /// currently crashed. An agent that crashed and recovered before the
+    /// end is finalized; one still down is not.
+    ///
+    /// Sharded over contiguous agent ranges on the staged engine's pool
+    /// whenever [`NetworkConfig::threads`] asks for more than one worker
+    /// (after the shard floor), whichever engine drove the rounds: a
+    /// `finalize` touches only its own agent, so the order is
+    /// unobservable.
+    pub fn finalize(&mut self) {
+        let threads = self.effective_threads();
+        let Network { pool, agents, topology, fault_state, round, .. } = self;
+        let ctx = RoundCtx { round: *round, topology };
+        let fault_state: &FaultState = fault_state;
+        let finalize_range = |agents: &mut [A], base: usize| {
+            for (off, agent) in agents.iter_mut().enumerate() {
+                if !fault_state.is_down((base + off) as AgentId) {
+                    agent.finalize(&ctx);
+                }
+            }
+        };
+        if threads <= 1 {
+            finalize_range(agents, 0);
+            return;
+        }
+        let chunk = agents.len().div_ceil(threads);
+        let finalize_range = &finalize_range;
+        ensure_pool(pool, threads).scope(|scope| {
+            for (s, part) in agents.chunks_mut(chunk).enumerate() {
+                scope.spawn(move || finalize_range(part, s * chunk));
+            }
+        });
+    }
+
     // ------------------------------------------------------------------
     // Stage 1: plan
     // ------------------------------------------------------------------
@@ -435,7 +492,10 @@ impl<M: MsgSize + Send + Sync, A: Agent<M> + Send> Network<M, A> {
     /// (overridden [`Agent::act_multi`]) keep their emission order
     /// within their id slot.
     fn plan(&mut self, round: usize, threads: usize) {
-        let Network { pool, agents, staged, topology, fault_state, ops, multi_buf, .. } = self;
+        let busy = BusyClock::new(self.config.time_stages);
+        let Network {
+            pool, agents, staged, topology, fault_state, ops, multi_buf, stage_times, ..
+        } = self;
         ops.clear();
         let n = agents.len();
         let topology: &Topology = topology;
@@ -463,6 +523,7 @@ impl<M: MsgSize + Send + Sync, A: Agent<M> + Send> Network<M, A> {
             tmps.resize_with(threads, Vec::new);
         }
         let pool = ensure_pool(pool, threads);
+        let busy = &busy;
         pool.scope(|scope| {
             let mut rest: &mut [A] = agents;
             let mut base = 0usize;
@@ -475,20 +536,29 @@ impl<M: MsgSize + Send + Sync, A: Agent<M> + Send> Network<M, A> {
                 rest = tail;
                 let lo = base;
                 base += take;
-                scope.spawn(move || {
-                    buf.clear();
+                scope.spawn(move || busy.time(|| {
+                    // Shard-private while hot: the shards' `Vec` headers
+                    // sit side by side in the scratch, so pushing through
+                    // them would bounce one cache line between cores on
+                    // every op. Take them onto this stack, put them back
+                    // once.
+                    let mut out = std::mem::take(buf);
+                    let mut scratch = std::mem::take(tmp);
+                    out.clear();
                     let ctx = RoundCtx { round, topology };
                     for (off, agent) in head.iter_mut().enumerate() {
                         let id = (lo + off) as AgentId;
                         if fault_state.is_down(id) {
                             continue;
                         }
-                        agent.act_multi(&ctx, tmp);
-                        for op in tmp.drain(..) {
-                            buf.push((id, op));
+                        agent.act_multi(&ctx, &mut scratch);
+                        for op in scratch.drain(..) {
+                            out.push((id, op));
                         }
                     }
-                });
+                    *buf = out;
+                    *tmp = scratch;
+                }));
             }
         });
         // Concatenate in shard order — as a parallel scatter: a length
@@ -508,7 +578,7 @@ impl<M: MsgSize + Send + Sync, A: Agent<M> + Send> Network<M, A> {
                 if buf.is_empty() {
                     continue;
                 }
-                scope.spawn(move || {
+                scope.spawn(move || busy.time(|| {
                     // SAFETY: `lo..lo + buf.len()` is this shard's
                     // disjoint slot of the reserved tail, and the
                     // block write + `set_len(0)` pair *moves* the
@@ -518,12 +588,13 @@ impl<M: MsgSize + Send + Sync, A: Agent<M> + Send> Network<M, A> {
                         dst.write_block(lo, buf.as_ptr(), buf.len());
                         buf.set_len(0);
                     }
-                });
+                }));
             }
         });
         // SAFETY: every slot in `0..total` was initialized by exactly
         // one shard above.
         unsafe { ops.set_len(total) };
+        stage_times.busy.plan_us += busy.us();
         debug_assert!(
             ops.windows(2).all(|w| w[0].0 <= w[1].0),
             "plan merge must produce id-ordered ops"
@@ -620,7 +691,8 @@ impl<M: MsgSize + Send + Sync, A: Agent<M> + Send> Network<M, A> {
     fn meter_ops(&mut self, ops: &[(AgentId, Op<M>)], threads: usize) {
         let meter_queries = self.config.meter_queries;
         let n_ops = ops.len();
-        let Network { pool, staged: st, metrics, env, .. } = self;
+        let busy = BusyClock::new(self.config.time_stages);
+        let Network { pool, staged: st, metrics, env, stage_times, .. } = self;
         let env: &SizeEnv = env;
         if threads <= 1 || n_ops < threads {
             let mut tally = Tally::default();
@@ -632,6 +704,7 @@ impl<M: MsgSize + Send + Sync, A: Agent<M> + Send> Network<M, A> {
         st.meter_tallies.clear();
         st.meter_tallies.resize_with(threads, Tally::default);
         let pool = ensure_pool(pool, threads);
+        let busy = &busy;
         pool.scope(|scope| {
             for (s, tally) in st.meter_tallies.iter_mut().enumerate() {
                 let lo = s * chunk;
@@ -640,9 +713,16 @@ impl<M: MsgSize + Send + Sync, A: Agent<M> + Send> Network<M, A> {
                     continue;
                 }
                 let ops_range = &ops[lo..hi];
-                scope.spawn(move || tally_ops(ops_range, meter_queries, env, tally));
+                scope.spawn(move || busy.time(|| {
+                    // Tally on this stack (the slots are adjacent), then
+                    // publish once.
+                    let mut local = Tally::default();
+                    tally_ops(ops_range, meter_queries, env, &mut local);
+                    *tally = local;
+                }));
             }
         });
+        stage_times.busy.meter_us += busy.us();
         for tally in st.meter_tallies.drain(..) {
             metrics.record_bulk(&tally, 0);
         }
@@ -744,23 +824,28 @@ impl<M: MsgSize + Send + Sync, A: Agent<M> + Send> Network<M, A> {
             stage_times.build_us += t.elapsed().as_micros() as u64;
         }
         let t_resolve = timed.then(std::time::Instant::now);
-        let undelivered = resolve_masks_range(
-            0,
-            n,
-            &st.query_entries,
-            &st.query_off,
-            &st.push_entries,
-            &st.push_off,
-            st.query_delivered.as_atomic(),
-            st.push_delivered.as_atomic(),
-            p,
-            loss_seed,
-            round,
-            meter_queries,
-            fault_state,
-            topology,
-            partition.as_ref(),
-        );
+        let undelivered = if unmasked(p, topology, partition.as_ref(), fault_state) {
+            mark_delivered(ops, 0, st.query_delivered.words_mut(), st.push_delivered.words_mut());
+            0
+        } else {
+            resolve_masks_range(
+                0,
+                n,
+                &st.query_entries,
+                &st.query_off,
+                &st.push_entries,
+                &st.push_off,
+                st.query_delivered.as_atomic(),
+                st.push_delivered.as_atomic(),
+                p,
+                loss_seed,
+                round,
+                meter_queries,
+                fault_state,
+                topology,
+                partition.as_ref(),
+            )
+        };
         metrics.record_bulk(&Tally::default(), undelivered);
         if let Some(t) = t_resolve {
             stage_times.resolve_us += t.elapsed().as_micros() as u64;
@@ -799,6 +884,8 @@ impl<M: MsgSize + Send + Sync, A: Agent<M> + Send> Network<M, A> {
         let partition = partition.as_ref();
         let pool = ensure_pool(pool, threads);
         let t_build = timed.then(std::time::Instant::now);
+        let (build_busy, resolve_busy) = (BusyClock::new(timed), BusyClock::new(timed));
+        let busy = &build_busy;
 
         // Stage A: per-shard histograms over disjoint op ranges.
         if st.shard_qcounts.len() < threads {
@@ -827,11 +914,12 @@ impl<M: MsgSize + Send + Sync, A: Agent<M> + Send> Network<M, A> {
                     continue;
                 }
                 let ops_range = &ops[lo..hi];
-                scope.spawn(move || {
+                scope.spawn(move || busy.time(|| {
                     qc.clear();
                     qc.resize(n, 0);
                     pc.clear();
                     pc.resize(n, 0);
+                    let (qc, pc) = (&mut qc[..], &mut pc[..]);
                     let mut pulls = 0u32;
                     for (_, op) in ops_range {
                         match op {
@@ -843,7 +931,7 @@ impl<M: MsgSize + Send + Sync, A: Agent<M> + Send> Network<M, A> {
                         }
                     }
                     *np = pulls;
-                });
+                }));
             }
         });
 
@@ -908,7 +996,8 @@ impl<M: MsgSize + Send + Sync, A: Agent<M> + Send> Network<M, A> {
                     continue;
                 }
                 let ops_range = &ops[lo..hi];
-                scope.spawn(move || {
+                let (qc, pc) = (&mut qc[..], &mut pc[..]);
+                scope.spawn(move || busy.time(|| {
                     let mut seg = seg.iter_mut();
                     for (off, (from, op)) in ops_range.iter().enumerate() {
                         let i = lo + off;
@@ -955,20 +1044,36 @@ impl<M: MsgSize + Send + Sync, A: Agent<M> + Send> Network<M, A> {
                             }
                         }
                     }
-                });
+                }));
             }
         });
 
         if let Some(t) = t_build {
             stage_times.build_us += t.elapsed().as_micros() as u64;
         }
+        stage_times.busy.build_us += build_busy.us();
         let t_resolve = timed.then(std::time::Instant::now);
+        let busy = &resolve_busy;
 
-        // Stage D: mask/loss resolution over receiver ranges.
-        let agents_chunk = n.div_ceil(threads).max(1);
+        // Stage D: mask/loss resolution over receiver ranges — or, when
+        // no mask can apply this round, the verdicts straight from the op
+        // kinds over word ranges (no per-entry checks, no shared atomics).
         st.shard_undelivered.clear();
         st.shard_undelivered.resize(threads, 0);
-        {
+        if unmasked(p, topology, partition, fault_state) {
+            let words = n_ops.div_ceil(64);
+            let words_chunk = words.div_ceil(threads).max(1);
+            let q_words = st.query_delivered.words_mut();
+            let p_words = st.push_delivered.words_mut();
+            pool.scope(|scope| {
+                for (s, (qw, pw)) in
+                    q_words.chunks_mut(words_chunk).zip(p_words.chunks_mut(words_chunk)).enumerate()
+                {
+                    scope.spawn(move || busy.time(|| mark_delivered(ops, s * words_chunk, qw, pw)));
+                }
+            });
+        } else {
+            let agents_chunk = n.div_ceil(threads).max(1);
             let q_entries = &st.query_entries[..];
             let q_off = &st.query_off[..];
             let p_entries = &st.push_entries[..];
@@ -982,7 +1087,7 @@ impl<M: MsgSize + Send + Sync, A: Agent<M> + Send> Network<M, A> {
                     if lo >= hi {
                         continue;
                     }
-                    scope.spawn(move || {
+                    scope.spawn(move || busy.time(|| {
                         *slot = resolve_masks_range(
                             lo,
                             hi,
@@ -1000,7 +1105,7 @@ impl<M: MsgSize + Send + Sync, A: Agent<M> + Send> Network<M, A> {
                             topology,
                             partition,
                         );
-                    });
+                    }));
                 }
             });
         }
@@ -1009,6 +1114,7 @@ impl<M: MsgSize + Send + Sync, A: Agent<M> + Send> Network<M, A> {
         if let Some(t) = t_resolve {
             stage_times.resolve_us += t.elapsed().as_micros() as u64;
         }
+        stage_times.busy.resolve_us += resolve_busy.us();
     }
 
     /// Regroup `staged.push_entries` (currently in op order, with the
@@ -1058,7 +1164,9 @@ impl<M: MsgSize + Send + Sync, A: Agent<M> + Send> Network<M, A> {
     /// inbox.
     fn apply_pulls(&mut self, round: usize, threads: usize) {
         let n = self.agents.len();
-        let Network { pool, agents, staged: st, topology, env, ops, metrics, .. } = self;
+        let busy = BusyClock::new(self.config.time_stages);
+        let Network { pool, agents, staged: st, topology, env, ops, metrics, stage_times, .. } =
+            self;
         st.reply_out.clear();
         st.reply_out.resize_with(st.query_entries.len(), || None);
         let topology: &Topology = topology;
@@ -1091,6 +1199,7 @@ impl<M: MsgSize + Send + Sync, A: Agent<M> + Send> Network<M, A> {
             // a no-op), so shard order is positional, not join order.
             st.shard_meters.resize_with(threads, Default::default);
             let pool = ensure_pool(pool, threads);
+            let busy = &busy;
             pool.scope(|scope| {
                 let mut agents_rest: &mut [A] = agents;
                 let mut reply_rest: &mut [Option<M>] = &mut st.reply_out;
@@ -1108,7 +1217,7 @@ impl<M: MsgSize + Send + Sync, A: Agent<M> + Send> Network<M, A> {
                     let (meter_slot, mr) = meters_rest.split_first_mut().expect("meter slot per shard");
                     meters_rest = mr;
                     let base = lo;
-                    scope.spawn(move || {
+                    scope.spawn(move || busy.time(|| {
                         *meter_slot = apply_pull_chunk(
                             agents_chunk,
                             base,
@@ -1122,11 +1231,12 @@ impl<M: MsgSize + Send + Sync, A: Agent<M> + Send> Network<M, A> {
                             topology,
                             env,
                         );
-                    });
+                    }));
                     lo = hi;
                 }
             });
         }
+        stage_times.busy.pull_apply_us += busy.us();
         // Merge per-shard reply meters in shard order — exact, so the
         // totals equal single-threaded metering bit for bit.
         for (tally, undelivered) in st.shard_meters.drain(..) {
@@ -1172,12 +1282,14 @@ impl<M: MsgSize + Send + Sync, A: Agent<M> + Send> Network<M, A> {
         }
         let n_ops = self.ops.len();
         let chunk = n_ops.div_ceil(threads).max(1); // = the ledger build's op chunking
-        let Network { pool, staged: st, ops, oplog, .. } = self;
+        let busy = BusyClock::new(self.config.time_stages);
+        let Network { pool, staged: st, ops, oplog, stage_times, .. } = self;
         let ops: &[(AgentId, Op<M>)] = ops;
         let inbox: &[Option<M>] = &st.reply_inbox;
         let pulls_total: usize = st.shard_pulls.iter().map(|&c| c as usize).sum();
         let w = SharedWriter::new(oplog.scatter_tail(n_ops));
         let pool = ensure_pool(pool, threads);
+        let busy = &busy;
         pool.scope(|scope| {
             let mut pulls_before = 0usize;
             for (s, &np) in st.shard_pulls[..threads].iter().enumerate() {
@@ -1189,7 +1301,7 @@ impl<M: MsgSize + Send + Sync, A: Agent<M> + Send> Network<M, A> {
                     continue;
                 }
                 let ops_range = &ops[lo..hi];
-                scope.spawn(move || {
+                scope.spawn(move || busy.time(|| {
                     // This shard's cursor ranges: pulls `q_base..q_base
                     // + np`, pushes `pulls_total + (lo - q_base) ..` —
                     // contiguous across shards, pairwise disjoint, and
@@ -1227,9 +1339,10 @@ impl<M: MsgSize + Send + Sync, A: Agent<M> + Send> Network<M, A> {
                             }
                         }
                     }
-                });
+                }));
             }
         });
+        stage_times.busy.log_us += busy.us();
     }
 
     /// Apply, final leg (both disciplines): deliver gated pushes to
@@ -1240,7 +1353,8 @@ impl<M: MsgSize + Send + Sync, A: Agent<M> + Send> Network<M, A> {
     /// all-pushes-then-all-replies order observationally.
     fn apply_deliveries(&mut self, round: usize, threads: usize) {
         let n = self.agents.len();
-        let Network { pool, agents, staged: st, topology, ops, .. } = self;
+        let busy = BusyClock::new(self.config.time_stages);
+        let Network { pool, agents, staged: st, topology, ops, stage_times, .. } = self;
         let topology: &Topology = topology;
         let ops: &[(AgentId, Op<M>)] = ops;
         let entries = &st.push_entries[..];
@@ -1262,6 +1376,7 @@ impl<M: MsgSize + Send + Sync, A: Agent<M> + Send> Network<M, A> {
             );
         } else {
             let pool = ensure_pool(pool, threads);
+            let busy = &busy;
             pool.scope(|scope| {
                 let mut agents_rest: &mut [A] = agents;
                 let mut pulls_rest: &[PullRec] = &st.pulls;
@@ -1280,7 +1395,7 @@ impl<M: MsgSize + Send + Sync, A: Agent<M> + Send> Network<M, A> {
                     let (inbox_chunk, ir) = inbox_rest.split_at_mut(k);
                     inbox_rest = ir;
                     let base = lo;
-                    scope.spawn(move || {
+                    scope.spawn(move || busy.time(|| {
                         apply_delivery_chunk(
                             agents_chunk,
                             base,
@@ -1293,21 +1408,46 @@ impl<M: MsgSize + Send + Sync, A: Agent<M> + Send> Network<M, A> {
                             round,
                             topology,
                         );
-                    });
+                    }));
                     lo = hi;
                 }
             });
+            stage_times.busy.apply_us += busy.us();
         }
+    }
+}
+
+/// Summed wall time of one stage's pool jobs (see [`StageBusy`]); inert
+/// — no clock reads — unless stage timing is on.
+struct BusyClock(Option<AtomicU64>);
+
+impl BusyClock {
+    fn new(on: bool) -> Self {
+        BusyClock(on.then(|| AtomicU64::new(0)))
+    }
+
+    /// Run one job, charging its wall time to the clock.
+    fn time<R>(&self, job: impl FnOnce() -> R) -> R {
+        let Some(ns) = &self.0 else { return job() };
+        let t = std::time::Instant::now();
+        let r = job();
+        ns.fetch_add(t.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        r
+    }
+
+    /// The charged total, µs.
+    fn us(&self) -> u64 {
+        self.0.as_ref().map_or(0, |ns| ns.load(Ordering::Relaxed) / 1000)
     }
 }
 
 /// Get the network's persistent worker pool, (re)building it lazily if
 /// it does not exist yet or the configured thread count changed. The
-/// pool outlives rounds *and* trials — replacing a per-round
-/// `std::thread::scope` spawn/join with a channel send + condvar wait
-/// (`rfc-bench`'s `staged_spawn_overhead` row isolates the difference).
+/// pool outlives rounds *and* trials, so a stage's dispatch is a queue
+/// push to a worker that is usually still spinning from the previous
+/// stage (see [`crate::pool`]).
 fn ensure_pool(slot: &mut Option<crate::pool::ScopedPool>, threads: usize) -> &mut crate::pool::ScopedPool {
-    let rebuild = !matches!(slot, Some(p) if p.workers() == threads);
+    let rebuild = !matches!(slot, Some(p) if p.threads() == threads);
     if rebuild {
         *slot = Some(crate::pool::ScopedPool::new(threads));
     }
@@ -1333,6 +1473,47 @@ fn tally_ops<M: MsgSize>(
             }
             Op::Push { msg, .. } => tally.record(msg.size_bits(env)),
         }
+    }
+}
+
+/// Whether no delivery mask can apply this round: no loss, the complete
+/// graph (every pair connected), no partition and no agent down. Then
+/// [`resolve_masks_range`] would deliver every entry and draw nothing,
+/// and [`mark_delivered`] sets the same verdict bits wholesale.
+fn unmasked(
+    p: f64,
+    topology: &Topology,
+    partition: Option<&PartitionCut>,
+    fault_state: &FaultState,
+) -> bool {
+    p == 0.0
+        && matches!(topology, Topology::Complete { .. })
+        && partition.is_none()
+        && fault_state.n_down() == 0
+}
+
+/// Verdicts of an [`unmasked`] round for the ops of words
+/// `first_word..first_word + query_words.len()`: every pull query
+/// reaches its pullee and every push its receiver, so a verdict bit is
+/// exactly its op's kind — built a word (64 ops) at a time.
+fn mark_delivered<M>(
+    ops: &[(AgentId, Op<M>)],
+    first_word: usize,
+    query_words: &mut [u64],
+    push_words: &mut [u64],
+) {
+    for (w, (qw, pw)) in query_words.iter_mut().zip(push_words.iter_mut()).enumerate() {
+        let lo = (first_word + w) * 64;
+        let hi = (lo + 64).min(ops.len());
+        let (mut q, mut p) = (0u64, 0u64);
+        for (b, (_, op)) in ops[lo..hi].iter().enumerate() {
+            match op {
+                Op::Pull { .. } => q |= 1 << b,
+                Op::Push { .. } => p |= 1 << b,
+            }
+        }
+        *qw = q;
+        *pw = p;
     }
 }
 
