@@ -203,7 +203,7 @@ impl Shared {
 
 /// Spin until `ready()` or `limit` elapses; returns whether it became
 /// ready. Plain busy-polling, reading the clock every 64 polls: a
-/// `yield_now` between polls made a spinning worker on the 2-vCPU VM so
+/// `yield_now` between polls made a spinning worker on a 2-vCPU VM so
 /// slow to react that the caller took its 50 µs jobs first (51 of 2000
 /// ran on the worker, against 1999 of 2000 without the yield).
 fn spin(limit: Duration, ready: impl Fn() -> bool) -> bool {
