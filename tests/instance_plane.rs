@@ -14,6 +14,8 @@
 //!   reports at every thread count (the per-part keyed loss draws are
 //!   order-free, so the staged engine's sharding is unobservable).
 
+mod common;
+
 use gossip_net::rng::loss_streams;
 use rfc_core::runner::RunConfig;
 use rfc_core::{run_plane, InstanceKind, InstancePlan, InstanceSpec, Priority};
@@ -103,4 +105,138 @@ fn multi_instance_plane_is_thread_invariant() {
             "aggregate metrics drifted at threads={threads}"
         );
     }
+}
+
+// ── Pinned multi-instance plane rows ─────────────────────────────────
+//
+// `GOLDEN_REGEN=1 cargo test --test instance_plane pinned` reprints the
+// table. These digests pin *every* `InstanceReport` field of every
+// instance plus the plane's round count and aggregate engine meters, so
+// any change to the multiplexer's act loop, batching, budget rotation,
+// loss keying or cell bookkeeping that is visible in a report moves
+// them. A change that is meant to be a pure speed-up must leave them
+// untouched.
+
+/// FNV-1a over the `Debug` rendering of every instance report (spec,
+/// outcome, winner, decisions, decided_at, decided, rounds_to_decision,
+/// payload meters), the plane's rounds, its aggregate engine meters and
+/// the legacy view's golden digest when present.
+fn plane_digest(plane: &rfc_core::PlaneReport) -> u64 {
+    let mut d = common::Digest::new();
+    for inst in &plane.instances {
+        d.str(&format!("{inst:?}"));
+    }
+    d.u64(plane.rounds as u64);
+    d.str(&format!("{:?}", plane.aggregate));
+    match &plane.legacy {
+        Some(report) => d.u64(common::report_digest(report)),
+        None => d.str("no legacy view"),
+    }
+    d.finish()
+}
+
+/// A `budget(2)` plan of High and Low rumor instances (one Low instance
+/// admitted late), so the per-class rotation, suppressed ops and dormant
+/// cells all shape the reports.
+fn budgeted_plan() -> InstancePlan {
+    let mut plan = InstancePlan { specs: Vec::new(), send_budget: None };
+    for j in 0..6 {
+        let prio = if j % 2 == 0 { Priority::High } else { Priority::Low };
+        let mut spec = InstanceSpec::new(InstanceKind::RumorVote { k: 12 }).priority(prio);
+        if j == 5 {
+            spec = spec.start_at(4);
+        }
+        plan = plan.with_spec(spec);
+    }
+    plan.budget(2)
+}
+
+/// The pinned rows: label → (config, seed).
+fn pinned_corpus() -> Vec<(String, RunConfig, u64)> {
+    let mut rows = Vec::new();
+    for threads in [1usize, 2] {
+        rows.push((format!("mixed/n16/loss-0.25/t{threads}"), lossy_cfg(mixed_plan(3), threads), 9));
+    }
+    rows.push((
+        "budget2/n16/high-low".to_string(),
+        RunConfig::builder(16).gamma(3.0).instances(budgeted_plan()).build(),
+        19,
+    ));
+    rows.push((
+        "budget2/n16/high-low+loss-0.2".to_string(),
+        RunConfig::builder(16)
+            .gamma(3.0)
+            .message_loss(0.2)
+            .instances(budgeted_plan())
+            .build(),
+        19,
+    ));
+    for count in [1usize, 10, 100] {
+        rows.push((
+            format!("rumor/n16/x{count}"),
+            RunConfig::builder(16)
+                .gamma(3.0)
+                .instances(InstancePlan::rumor(count, 12))
+                .build(),
+            5,
+        ));
+    }
+    let mut plan = InstancePlan::consensus(2);
+    for _ in 0..300 {
+        plan = plan.with_spec(InstanceSpec::new(InstanceKind::RumorVote { k: 48 }));
+    }
+    rows.push((
+        "mixed/n64/2-consensus+300-rumor".to_string(),
+        RunConfig::builder(64)
+            .gamma(3.0)
+            .colors(vec![32, 32])
+            .instances(plan)
+            .build(),
+        31,
+    ));
+    // More agents than one inline voter-set word pair holds.
+    rows.push((
+        "rumor/n130/x12".to_string(),
+        RunConfig::builder(130)
+            .gamma(3.0)
+            .message_loss(0.1)
+            .instances(InstancePlan::rumor(12, 97))
+            .build(),
+        13,
+    ));
+    rows
+}
+
+const PINNED_PLANES: &[(&str, u64)] = &[
+    ("mixed/n16/loss-0.25/t1", 0x42945e66a99337a7),
+    ("mixed/n16/loss-0.25/t2", 0x42945e66a99337a7),
+    ("budget2/n16/high-low", 0xee29e697817ad297),
+    ("budget2/n16/high-low+loss-0.2", 0x33df7aece61c99a1),
+    ("rumor/n16/x1", 0x0a91f626d56471eb),
+    ("rumor/n16/x10", 0x4d158248412bb7fa),
+    ("rumor/n16/x100", 0x8c07c2486f8eead5),
+    ("mixed/n64/2-consensus+300-rumor", 0x1831136d88ea680c),
+    ("rumor/n130/x12", 0x7c1b910c9f47ca54),
+];
+
+#[test]
+fn pinned_multi_instance_planes_are_bit_identical() {
+    let regen = std::env::var("GOLDEN_REGEN").is_ok();
+    let mut failures = Vec::new();
+    for (label, cfg, seed) in pinned_corpus() {
+        let plane = run_plane(&cfg, seed);
+        let got = plane_digest(&plane);
+        if regen {
+            println!("    (\"{label}\", {got:#018x}),");
+            continue;
+        }
+        match PINNED_PLANES.iter().find(|(l, _)| *l == label) {
+            Some((_, want)) if *want == got => {}
+            Some((_, want)) => {
+                failures.push(format!("{label}: digest {got:#018x} != pinned {want:#018x}"))
+            }
+            None => failures.push(format!("{label}: no pinned digest ({got:#018x})")),
+        }
+    }
+    assert!(failures.is_empty(), "pinned plane rows drifted:\n{}", failures.join("\n"));
 }
