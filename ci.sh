@@ -173,7 +173,8 @@ cargo run --release -q -p rfc-bench --bin rfc-bench -- selftest BENCH_scale.json
 
 echo "==> perf gate: fresh throughput + ΔRSS vs committed BENCH_scale.json (tolerance ${RFC_GATE_TOLERANCE:-0.20})"
 # Gates every rounds/s column as a floor AND every ΔRSS MiB column as a
-# ceiling (committed·(1+tol) + 8 MiB slack): the best of the two fresh
+# ceiling (committed·(1+tol) + 8 MiB slack), and requires every digest
+# cell of every capture to equal the committed one: the best of the two fresh
 # captures — max throughput, min memory — must stay within tolerance of
 # the committed baseline, and the check runs *before* the baseline is
 # refreshed below. Both noises are one-sided (a busy machine reads

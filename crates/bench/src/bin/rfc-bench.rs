@@ -4,13 +4,15 @@
 //! rfc-bench gate <committed.json> <fresh.json>...
 //!     Parse the committed baseline and the freshly measured table
 //!     files (concatenated), compare every throughput column, and exit
-//!     non-zero on a drop beyond tolerance. Tolerance is the
+//!     non-zero on a drop beyond tolerance or on any `digest` cell that
+//!     differs from the committed one. Tolerance is the
 //!     RFC_GATE_TOLERANCE env var (a fraction, default 0.20).
 //!
 //! rfc-bench selftest <committed.json>
 //!     Prove the gate can fire: re-compare the baseline against a copy
-//!     of itself with every throughput cell halved and every ΔRSS cell
-//!     inflated (must FAIL) and against an identical copy (must PASS).
+//!     of itself with every throughput cell halved, every ΔRSS cell
+//!     inflated and every digest altered (must FAIL) and against an
+//!     identical copy (must PASS).
 //!     Exit non-zero if either expectation breaks.
 //!
 //! rfc-bench codec <out.json>
@@ -30,7 +32,9 @@
 
 use experiments::Table;
 use gossip_net::rng::DetRng;
-use rfc_bench::gate::{compare, is_gated_column, is_memory_column, parse_tables, TableData};
+use rfc_bench::gate::{
+    compare, is_digest_column, is_gated_column, is_memory_column, parse_tables, TableData,
+};
 use rfc_core::certificate::{CertData, VoteRec};
 use rfc_core::codec::{decode_msg, encode_msg};
 use rfc_core::msg::{IntentEntry, Msg};
@@ -77,10 +81,10 @@ fn run_gate(committed_path: &str, fresh_paths: &[String]) -> ExitCode {
     }
     if report.pass() {
         println!(
-            "perf gate OK: {} throughput/memory checks within {:.0}% of {}",
+            "perf gate OK: {} checks against {} (throughput/memory within {:.0}%, digests exact)",
             report.checks,
-            tol * 100.0,
-            committed_path
+            committed_path,
+            tol * 100.0
         );
         ExitCode::SUCCESS
     } else {
@@ -107,8 +111,9 @@ fn run_selftest(committed_path: &str) -> ExitCode {
         eprintln!("rfc-bench selftest: {committed_path} has no throughput cells to gate");
         return ExitCode::FAILURE;
     }
-    // Injected regression: halve every throughput cell and inflate every
-    // memory cell past any plausible slack. The gate must fire on both.
+    // Injected regression: halve every throughput cell, inflate every
+    // memory cell past any plausible slack and alter every digest. The
+    // gate must fire on all three.
     let regressed: Vec<TableData> = committed
         .iter()
         .map(|t| {
@@ -127,6 +132,13 @@ fn run_selftest(committed_path: &str) -> ExitCode {
                 .filter(|(_, c)| is_memory_column(c))
                 .map(|(i, _)| i)
                 .collect();
+            let digests: Vec<usize> = t
+                .columns
+                .iter()
+                .enumerate()
+                .filter(|(_, c)| is_digest_column(c))
+                .map(|(i, _)| i)
+                .collect();
             for row in &mut t.rows {
                 for &c in &throughput {
                     if let Ok(v) = row[c].parse::<f64>() {
@@ -137,6 +149,9 @@ fn run_selftest(committed_path: &str) -> ExitCode {
                     if let Ok(v) = row[c].parse::<f64>() {
                         row[c] = format!("{}", v * 10.0 + 100.0);
                     }
+                }
+                for &c in &digests {
+                    row[c].push('~');
                 }
             }
             t
@@ -160,6 +175,14 @@ fn run_selftest(committed_path: &str) -> ExitCode {
         );
         return ExitCode::FAILURE;
     }
+    let digest_cells: usize = committed
+        .iter()
+        .map(|t| t.columns.iter().filter(|c| is_digest_column(c)).count() * t.rows.len())
+        .sum();
+    if digest_cells > 0 && !fired.failures.iter().any(|f| f.contains("digest")) {
+        println!("selftest FAILED: altering {digest_cells} digest cells did not trip the gate");
+        return ExitCode::FAILURE;
+    }
     let clean = compare(&committed, &committed, tol);
     if !clean.pass() {
         println!("selftest FAILED: the baseline does not pass against itself:");
@@ -169,7 +192,7 @@ fn run_selftest(committed_path: &str) -> ExitCode {
         return ExitCode::FAILURE;
     }
     println!(
-        "selftest OK: gate trips on injected 50% slowdown + ΔRSS inflation ({} violations over {} checks) and passes identity",
+        "selftest OK: gate trips on injected 50% slowdown + ΔRSS inflation + digest drift ({} violations over {} checks) and passes identity",
         fired.failures.len(),
         clean.checks
     );

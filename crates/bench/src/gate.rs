@@ -17,7 +17,10 @@
 //!   columns (`n`, `q`, `shards`, `outcome`, …);
 //! * **throughput columns** — headers containing `"rounds/s"` or
 //!   `"instances/s"` (the instance-plane sweep, E17); each is compared
-//!   as `fresh ≥ committed · (1 − tolerance)`.
+//!   as `fresh ≥ committed · (1 − tolerance)`;
+//! * **digest columns** — a `digest` column (E16, E17) is a pure
+//!   function of the seed, so every fresh sample of a committed row must
+//!   carry exactly the committed digest; any difference fails the gate.
 //!
 //! Tolerance is a fraction (CI reads `RFC_GATE_TOLERANCE`, default
 //! `0.20`). Missing tables, missing rows, and unparseable throughput
@@ -340,7 +343,8 @@ pub fn parse_tables(input: &str) -> PResult<Vec<TableData>> {
 /// Result of gating fresh tables against a committed baseline.
 #[derive(Debug, Clone, Default)]
 pub struct GateReport {
-    /// Number of (row, throughput-column) comparisons performed.
+    /// Number of (row, gated-column) comparisons performed: throughput,
+    /// memory and digest columns.
     pub checks: usize,
     /// Violations: regressions beyond tolerance, vanished tables/rows,
     /// unparseable throughput cells. Non-empty ⇒ the gate fails.
@@ -374,6 +378,13 @@ pub fn is_memory_column(header: &str) -> bool {
     header.contains("ΔRSS")
 }
 
+/// Is this column a digest column, compared exactly rather than within
+/// a tolerance? The experiment tables name their seed-deterministic
+/// fingerprint column `digest`.
+pub fn is_digest_column(header: &str) -> bool {
+    header == "digest"
+}
+
 /// True when a committed table is a manually captured **landmark** —
 /// a milestone run too expensive for CI to reproduce (the convention
 /// is "landmark" in the title, e.g.
@@ -405,7 +416,8 @@ fn row_key(columns: &[String], row: &[String]) -> String {
 /// cell of every committed row must satisfy
 /// `fresh ≥ committed · (1 − tolerance)`, and every memory (`ΔRSS`)
 /// cell must satisfy
-/// `fresh ≤ committed · (1 + tolerance) + MEM_SLACK_MIB`.
+/// `fresh ≤ committed · (1 + tolerance) + MEM_SLACK_MIB`, and every
+/// `digest` cell must equal the committed one in every fresh sample.
 ///
 /// The fresh set may contain *several captures* of the same table (same
 /// id): each cell is gated against the **best** sample — the max for
@@ -439,7 +451,14 @@ pub fn compare(committed: &[TableData], fresh: &[TableData], tolerance: f64) -> 
             .filter(|(_, c)| is_gated_column(c) || is_memory_column(c))
             .map(|(i, c)| (i, is_memory_column(c)))
             .collect();
-        if gated.is_empty() {
+        let digests: Vec<usize> = base
+            .columns
+            .iter()
+            .enumerate()
+            .filter(|(_, c)| is_digest_column(c))
+            .map(|(i, _)| i)
+            .collect();
+        if gated.is_empty() && digests.is_empty() {
             report
                 .notes
                 .push(format!("{}: no throughput columns, skipped", base.id()));
@@ -462,6 +481,32 @@ pub fn compare(committed: &[TableData], fresh: &[TableData], tolerance: f64) -> 
                     .failures
                     .push(format!("{} [{key}]: row missing from fresh results", base.id()));
                 continue;
+            }
+            for &col in &digests {
+                let header = &base.columns[col];
+                let mut col_present = false;
+                for (t, row) in &matches {
+                    let Some(ccol) = t.columns.iter().position(|c| c == header) else {
+                        continue;
+                    };
+                    col_present = true;
+                    if row[ccol] != brow[col] {
+                        report.failures.push(format!(
+                            "{} [{key}] {header}: fresh {:?} != committed {:?}",
+                            base.id(),
+                            row[ccol],
+                            brow[col]
+                        ));
+                    }
+                }
+                if col_present {
+                    report.checks += 1;
+                } else {
+                    report.failures.push(format!(
+                        "{} [{key}]: column {header:?} missing from fresh results",
+                        base.id()
+                    ));
+                }
             }
             for &(col, memory) in &gated {
                 let header = &base.columns[col];
@@ -653,8 +698,56 @@ mod tests {
         )];
         let r = compare(&t, &t, 0.20);
         assert!(r.pass(), "{:?}", r.failures);
-        assert_eq!(r.checks, 2);
+        assert_eq!(r.checks, 4, "two throughput and two digest checks");
         assert!(r.notes.is_empty());
+    }
+
+    #[test]
+    fn digest_columns_must_match_exactly() {
+        let base = vec![table(
+            "E17",
+            &["instances", "instances/s", "digest"],
+            &[&["10", "500", "35ede45e9af3e885"], &["100", "400", "a8ebb3b711dcc094"]],
+        )];
+        let r = compare(&base, &base, 0.20);
+        assert!(r.pass(), "{:?}", r.failures);
+        assert_eq!(r.checks, 4, "two throughput and two digest checks");
+
+        // Same throughput, one digest moved: the gate fails on that row only.
+        let drifted = vec![table(
+            "E17",
+            &["instances", "instances/s", "digest"],
+            &[&["10", "500", "35ede45e9af3e885"], &["100", "400", "a8ebb3b711dcc095"]],
+        )];
+        let r = compare(&base, &drifted, 0.20);
+        assert_eq!(r.failures.len(), 1, "{:?}", r.failures);
+        assert!(r.failures[0].contains("E17 [100] digest"), "{}", r.failures[0]);
+
+        // Best-of-N does not apply: one drifted capture among good ones fails.
+        let mut both = base.clone();
+        both.extend(drifted.clone());
+        assert!(!compare(&base, &both, 0.20).pass());
+
+        // A fresh capture without the digest column fails coverage.
+        let no_digest =
+            vec![table("E17", &["instances", "instances/s"], &[&["10", "500"], &["100", "400"]])];
+        let r = compare(&base, &no_digest, 0.20);
+        assert!(r.failures.iter().any(|f| f.contains("column \"digest\" missing")), "{:?}", r.failures);
+
+        // A digest-only table is compared, not skipped.
+        let only = vec![table("E16", &["n", "digest"], &[&["512", "abc"]])];
+        let moved = vec![table("E16", &["n", "digest"], &[&["512", "abd"]])];
+        assert!(compare(&only, &only, 0.20).pass());
+        assert!(!compare(&only, &moved, 0.20).pass());
+
+        // Landmarks keep their handling: absent ⇒ note; present ⇒ digest gated.
+        let mut landmark = table("E16L", &["n", "rounds/s", "digest"], &[&["10000000", "0.5", "9073"]]);
+        landmark.title = "E16L — 10⁷-agent landmark (manual capture)".into();
+        let r = compare(std::slice::from_ref(&landmark), &[], 0.20);
+        assert!(r.pass(), "{:?}", r.failures);
+        let mut other = landmark.clone();
+        other.rows[0][2] = "9074".into();
+        assert!(!compare(std::slice::from_ref(&landmark), &[other], 0.20).pass());
     }
 
     #[test]

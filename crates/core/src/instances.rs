@@ -205,43 +205,80 @@ impl Default for InstancePlan {
     }
 }
 
+/// Largest agent count whose [`VoterSet`] keeps its bitmap inline, so
+/// that cloning the set (one clone per rumor push and pull reply) never
+/// allocates. Larger sets keep their words on the heap.
+pub const INLINE_VOTERS: usize = 128;
+
+const INLINE_WORDS: usize = INLINE_VOTERS / 64;
+
 /// A fixed-width bitmap of agent ids that have voted for a rumor.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct VoterSet {
     n: u32,
-    words: Vec<u64>,
+    words: VoterWords,
+}
+
+/// A [`VoterSet`]'s bitmap; which variant is fixed by `n` alone.
+#[derive(Debug, Clone, PartialEq, Eq)]
+enum VoterWords {
+    /// `n ≤ INLINE_VOTERS`: words past `n` stay zero.
+    Inline([u64; INLINE_WORDS]),
+    /// `n > INLINE_VOTERS`: exactly `⌈n/64⌉` words.
+    Heap(Vec<u64>),
 }
 
 impl VoterSet {
     /// The empty set over `n` agents.
     pub fn empty(n: usize) -> Self {
-        VoterSet { n: n as u32, words: vec![0; n.div_ceil(64)] }
+        let words = if n <= INLINE_VOTERS {
+            VoterWords::Inline([0; INLINE_WORDS])
+        } else {
+            VoterWords::Heap(vec![0; n.div_ceil(64)])
+        };
+        VoterSet { n: n as u32, words }
+    }
+
+    fn words(&self) -> &[u64] {
+        match &self.words {
+            VoterWords::Inline(w) => w,
+            VoterWords::Heap(w) => w,
+        }
+    }
+
+    fn words_mut(&mut self) -> &mut [u64] {
+        match &mut self.words {
+            VoterWords::Inline(w) => w,
+            VoterWords::Heap(w) => w,
+        }
     }
 
     /// Add a voter; returns true if it was new.
     pub fn insert(&mut self, id: AgentId) -> bool {
+        debug_assert!(id < self.n, "voter {id} outside a set over {} agents", self.n);
         let (w, b) = (id as usize / 64, id as usize % 64);
-        let fresh = self.words[w] & (1 << b) == 0;
-        self.words[w] |= 1 << b;
+        let word = &mut self.words_mut()[w];
+        let fresh = *word & (1 << b) == 0;
+        *word |= 1 << b;
         fresh
     }
 
     /// Is `id` in the set?
     pub fn contains(&self, id: AgentId) -> bool {
-        self.words[id as usize / 64] & (1 << (id as usize % 64)) != 0
+        self.words()[id as usize / 64] & (1 << (id as usize % 64)) != 0
     }
 
     /// Union another set into this one.
     pub fn union_with(&mut self, other: &VoterSet) {
         debug_assert_eq!(self.n, other.n);
-        for (a, b) in self.words.iter_mut().zip(&other.words) {
+        for (a, b) in self.words_mut().iter_mut().zip(other.words()) {
             *a |= b;
         }
     }
 
     /// Number of voters.
     pub fn count(&self) -> usize {
-        self.words.iter().map(|w| w.count_ones() as usize).sum()
+        self.words().iter().map(|w| w.count_ones() as usize).sum()
     }
 
     /// Bitmap width in bits (= `n`), its wire size.
@@ -374,14 +411,33 @@ struct Cell {
 }
 
 enum CellInner {
-    Consensus {
-        slot: AgentSlot,
-        /// Local rounds in the instance's communicating window (`4q`).
-        window: usize,
-        finalized: bool,
-    },
+    /// Boxed: a protocol core is about twice the size of a rumor core,
+    /// and consensus cells are the rare kind in a large plane.
+    Consensus(Box<ConsensusCell>),
     Rumor(RumorVoteCore),
 }
+
+struct ConsensusCell {
+    slot: AgentSlot,
+    /// Local rounds in the instance's communicating window (`4q`).
+    window: usize,
+    finalized: bool,
+}
+
+/// What a cell does when the act loop visits it.
+enum Intent {
+    /// Send this op.
+    Act(Op<InstPayload>),
+    /// Nothing this round: a dormant cell, or a consensus cell with no
+    /// op in this round.
+    Idle,
+    /// Nothing this round or any later one — a decided rumor cell or a
+    /// finalized consensus cell — so the cell leaves the act loop.
+    Retired,
+}
+
+/// Placeholder for a cell retired during an act-loop walk.
+const RETIRED: u32 = u32::MAX;
 
 /// In-handler loss state for multi-instance plans (single-instance
 /// plans keep loss in the engine, legacy-exact).
@@ -417,9 +473,13 @@ pub struct MuxAgent {
     id: AgentId,
     env: SizeEnv,
     cells: Vec<Cell>,
-    /// Cell indices by priority class, in plan order.
-    high: Vec<u32>,
-    low: Vec<u32>,
+    /// Cell indices by priority class (`Priority as usize`), in plan
+    /// order; fixed for the run, they define the budget rotation.
+    classes: [Vec<u32>; 2],
+    /// The cells of each class still in the act loop, in plan order.
+    /// A cell leaves once it reports [`Intent::Retired`]; it still
+    /// answers pulls, receives pushes and finalizes.
+    live: [Vec<u32>; 2],
     local_loss: Option<LocalLoss>,
     send_budget: Option<usize>,
     pending_pulls: VecDeque<PendingPull>,
@@ -443,21 +503,17 @@ impl MuxAgent {
         local_loss: Option<LocalLoss>,
         send_budget: Option<usize>,
     ) -> Self {
-        let mut high = Vec::new();
-        let mut low = Vec::new();
+        let mut classes = [Vec::new(), Vec::new()];
         for (j, c) in cells.iter().enumerate() {
-            match c.priority {
-                Priority::High => high.push(j as u32),
-                Priority::Low => low.push(j as u32),
-            }
+            classes[c.priority as usize].push(j as u32);
         }
         let k = cells.len();
         MuxAgent {
             id,
             env,
             cells,
-            high,
-            low,
+            live: classes.clone(),
+            classes,
             local_loss,
             send_budget,
             pending_pulls: VecDeque::new(),
@@ -480,38 +536,42 @@ impl MuxAgent {
             let cell = &mut self.cells[inst as usize];
             let lctx = RoundCtx { round: local, topology: ctx.topology };
             match &mut cell.inner {
-                CellInner::Consensus { slot, .. } => slot.on_reply(0, None, &lctx),
+                CellInner::Consensus(c) => c.slot.on_reply(0, None, &lctx),
                 CellInner::Rumor(_) => {}
             }
         }
         self.deferred_silence.clear();
     }
 
-    /// One cell's intended op this round, with per-instance window and
+    /// One cell's intent this round, with per-instance window and
     /// phase-clock bookkeeping (consensus cells finalize the round
     /// after their window closes).
-    fn cell_intent(&mut self, j: u32, ctx: &RoundCtx) -> Option<Op<InstPayload>> {
+    fn cell_intent(&mut self, j: u32, ctx: &RoundCtx) -> Intent {
         let start = self.cells[j as usize].start_round;
         if ctx.round < start {
-            return None; // not admitted yet
+            return Intent::Idle; // not admitted yet
         }
         let lctx = self.local_ctx(ctx, start);
         match &mut self.cells[j as usize].inner {
-            CellInner::Consensus { slot, window, finalized } => {
-                if lctx.round >= *window {
-                    if !*finalized {
-                        let fctx = RoundCtx { round: *window, topology: ctx.topology };
-                        slot.finalize(&fctx);
-                        *finalized = true;
+            CellInner::Consensus(c) => {
+                if lctx.round >= c.window {
+                    if !c.finalized {
+                        let fctx = RoundCtx { round: c.window, topology: ctx.topology };
+                        c.slot.finalize(&fctx);
+                        c.finalized = true;
                     }
-                    return None;
+                    return Intent::Retired;
                 }
-                slot.act(&lctx)
-                    .map(|op| map_op(op, InstPayload::Consensus))
+                match c.slot.act(&lctx) {
+                    Some(op) => Intent::Act(map_op(op, InstPayload::Consensus)),
+                    None => Intent::Idle,
+                }
             }
-            CellInner::Rumor(core) => {
-                core.act(&lctx).map(|op| map_op(op, InstPayload::Rumor))
-            }
+            // A rumor cell stops acting exactly when it decides.
+            CellInner::Rumor(core) => match core.act(&lctx) {
+                Some(op) => Intent::Act(map_op(op, InstPayload::Rumor)),
+                None => Intent::Retired,
+            },
         }
     }
 
@@ -573,17 +633,33 @@ impl Agent<PlaneMsg> for MuxAgent {
         }
         let out_base = out.len();
         let mut budget = self.send_budget.unwrap_or(usize::MAX);
-        for class in [std::mem::take(&mut self.high), std::mem::take(&mut self.low)] {
-            // Rotate the class start index by round so a tight budget is
-            // shared fairly within a class (no-op when unbudgeted).
-            let offset = if self.send_budget.is_some() && !class.is_empty() {
-                ctx.round % class.len()
-            } else {
-                0
+        for class in [Priority::High as usize, Priority::Low as usize] {
+            let mut live = std::mem::take(&mut self.live[class]);
+            // Under a budget, rotate the class start index by round so a
+            // tight budget is shared fairly within a class. The offset is
+            // taken over the full class; the walk starts at the first live
+            // cell at or after it. Retired cells emit no op and spend no
+            // budget, so skipping them leaves every op and batch unchanged.
+            let split = match self.send_budget {
+                Some(_) if !live.is_empty() => {
+                    let full = &self.classes[class];
+                    let first = full[ctx.round % full.len()];
+                    live.partition_point(|&j| j < first)
+                }
+                _ => 0,
             };
-            for k in 0..class.len() {
-                let j = class[(k + offset) % class.len()];
-                let Some(op) = self.cell_intent(j, ctx) else { continue };
+            let mut retired = false;
+            for k in (split..live.len()).chain(0..split) {
+                let j = live[k];
+                let op = match self.cell_intent(j, ctx) {
+                    Intent::Act(op) => op,
+                    Intent::Idle => continue,
+                    Intent::Retired => {
+                        live[k] = RETIRED;
+                        retired = true;
+                        continue;
+                    }
+                };
                 if budget == 0 {
                     // Over budget: the op is suppressed on the wire. A
                     // suppressed pull is owed a synthetic silence so the
@@ -597,11 +673,10 @@ impl Agent<PlaneMsg> for MuxAgent {
                 budget -= 1;
                 self.group_into(out, out_base, j, op);
             }
-            match (self.high.is_empty(), self.low.is_empty()) {
-                (true, _) => self.high = class,
-                (_, true) => self.low = class,
-                _ => unreachable!("class vectors restored twice"),
+            if retired {
+                live.retain(|&j| j != RETIRED);
             }
+            self.live[class] = live;
         }
         // Register pending pulls in op order (the engine answers them in
         // exactly this order) and reset the grouping scratch.
@@ -636,8 +711,8 @@ impl Agent<PlaneMsg> for MuxAgent {
             }
             let lctx = RoundCtx { round: ctx.round - cell.start_round, topology: ctx.topology };
             let answer = match (&mut cell.inner, &part.payload) {
-                (CellInner::Consensus { slot, .. }, InstPayload::Consensus(q)) => {
-                    slot.on_pull(from, q, &lctx).map(InstPayload::Consensus)
+                (CellInner::Consensus(c), InstPayload::Consensus(q)) => {
+                    c.slot.on_pull(from, q, &lctx).map(InstPayload::Consensus)
                 }
                 (CellInner::Rumor(core), InstPayload::Rumor(_)) => {
                     core.on_pull().map(InstPayload::Rumor)
@@ -670,8 +745,8 @@ impl Agent<PlaneMsg> for MuxAgent {
             }
             let lctx = RoundCtx { round: ctx.round - cell.start_round, topology: ctx.topology };
             match (&mut cell.inner, &part.payload) {
-                (CellInner::Consensus { slot, .. }, InstPayload::Consensus(m)) => {
-                    slot.on_push(from, m, &lctx)
+                (CellInner::Consensus(c), InstPayload::Consensus(m)) => {
+                    c.slot.on_push(from, m, &lctx)
                 }
                 (CellInner::Rumor(core), InstPayload::Rumor(m)) => core.on_msg(m, lctx.round),
                 _ => debug_assert!(false, "instance {inst}: payload kind mismatch"),
@@ -710,10 +785,10 @@ impl Agent<PlaneMsg> for MuxAgent {
             let cell = &mut self.cells[inst as usize];
             let lctx = RoundCtx { round: local, topology: ctx.topology };
             match (&mut cell.inner, payload) {
-                (CellInner::Consensus { slot, .. }, Some(InstPayload::Consensus(m))) => {
-                    slot.on_reply(from, Some(m), &lctx)
+                (CellInner::Consensus(c), Some(InstPayload::Consensus(m))) => {
+                    c.slot.on_reply(from, Some(m), &lctx)
                 }
-                (CellInner::Consensus { slot, .. }, None) => slot.on_reply(from, None, &lctx),
+                (CellInner::Consensus(c), None) => c.slot.on_reply(from, None, &lctx),
                 (CellInner::Rumor(core), Some(InstPayload::Rumor(m))) => core.on_msg(&m, local),
                 (CellInner::Rumor(_), None) => {}
                 _ => debug_assert!(false, "instance {inst}: payload kind mismatch"),
@@ -724,12 +799,12 @@ impl Agent<PlaneMsg> for MuxAgent {
     fn finalize(&mut self, ctx: &RoundCtx) {
         self.flush_deferred(ctx);
         for cell in &mut self.cells {
-            if let CellInner::Consensus { slot, window, finalized } = &mut cell.inner {
-                if !*finalized {
-                    let local = ctx.round.saturating_sub(cell.start_round).min(*window);
+            if let CellInner::Consensus(c) = &mut cell.inner {
+                if !c.finalized {
+                    let local = ctx.round.saturating_sub(cell.start_round).min(c.window);
                     let fctx = RoundCtx { round: local, topology: ctx.topology };
-                    slot.finalize(&fctx);
-                    *finalized = true;
+                    c.slot.finalize(&fctx);
+                    c.finalized = true;
                 }
             }
         }
@@ -796,6 +871,35 @@ pub struct PlaneReport {
 /// (`record_ops` must be off).
 pub fn run_plane(cfg: &RunConfig, seed: u64) -> PlaneReport {
     let plan = &cfg.instances;
+    let mut net = plane_network(cfg, seed);
+    if plan.is_single_consensus() {
+        // The legacy cadence (one metrics phase per protocol phase,
+        // honoring skip_coherence) — what pins the phase-table identity.
+        drive_network(&mut net, cfg);
+    } else {
+        let window = cfg.params().total_rounds();
+        let total = plan
+            .specs
+            .iter()
+            .map(|s| s.start_round + window)
+            .max()
+            .expect("non-empty plan");
+        net.enter_phase("instances");
+        if crate::runner::use_staged_engine(cfg) {
+            net.run_staged(total);
+        } else {
+            net.run(total);
+        }
+        net.finalize();
+    }
+
+    collect_plane_report(&net, cfg)
+}
+
+/// The plane's network: one [`MuxAgent`] per node, every cell built,
+/// no round run yet.
+fn plane_network(cfg: &RunConfig, seed: u64) -> Network<PlaneMsg, MuxAgent> {
+    let plan = &cfg.instances;
     assert!(!plan.is_empty(), "an instance plan needs at least one instance");
     assert!(!cfg.record_ops, "instance planes do not support op-log audits");
     let single_legacy = plan.is_single_consensus();
@@ -856,11 +960,11 @@ pub fn run_plane(cfg: &RunConfig, seed: u64) -> PlaneReport {
                                 colors[i],
                                 rng,
                             );
-                            CellInner::Consensus {
+                            CellInner::Consensus(Box::new(ConsensusCell {
                                 slot: AgentSlot::honest(core),
                                 window,
                                 finalized: false,
-                            }
+                            }))
                         }
                         InstanceKind::RumorVote { k } => {
                             let rng = DetRng::seeded(inst_seeds[j], RUMOR_AGENT_BASE + i as u64);
@@ -881,28 +985,7 @@ pub fn run_plane(cfg: &RunConfig, seed: u64) -> PlaneReport {
         })
         .collect();
 
-    let mut net = Network::with_config(topology, env, agents, faults, net_cfg);
-    if single_legacy {
-        // The legacy cadence (one metrics phase per protocol phase,
-        // honoring skip_coherence) — what pins the phase-table identity.
-        drive_network(&mut net, cfg);
-    } else {
-        let total = plan
-            .specs
-            .iter()
-            .map(|s| s.start_round + window)
-            .max()
-            .expect("non-empty plan");
-        net.enter_phase("instances");
-        if crate::runner::use_staged_engine(cfg) {
-            net.run_staged(total);
-        } else {
-            net.run(total);
-        }
-        net.finalize();
-    }
-
-    collect_plane_report(&net, cfg)
+    Network::with_config(topology, env, agents, faults, net_cfg)
 }
 
 fn collect_plane_report(net: &Network<PlaneMsg, MuxAgent>, cfg: &RunConfig) -> PlaneReport {
@@ -939,9 +1022,10 @@ fn collect_plane_report(net: &Network<PlaneMsg, MuxAgent>, cfg: &RunConfig) -> P
                 let mut decisions = Vec::with_capacity(n);
                 let mut winner = None;
                 for i in 0..n as AgentId {
-                    let CellInner::Consensus { slot, .. } = &net.agent(i).cells[j].inner else {
+                    let CellInner::Consensus(c) = &net.agent(i).cells[j].inner else {
                         unreachable!("cell kind matches spec kind")
                     };
+                    let slot = &c.slot;
                     let core = ConsensusAgent::core(slot);
                     let d = if faults.is_down(i) {
                         Decision::Faulty
@@ -1016,9 +1100,10 @@ fn legacy_report(net: &Network<PlaneMsg, MuxAgent>, cfg: &RunConfig) -> RunRepor
     let mut verify_failures = Vec::with_capacity(n);
     let mut winner: Option<AgentId> = None;
     for i in 0..n as AgentId {
-        let CellInner::Consensus { slot, .. } = &net.agent(i).cells[0].inner else {
+        let CellInner::Consensus(c) = &net.agent(i).cells[0].inner else {
             unreachable!("legacy_report requires a consensus instance 0")
         };
+        let slot = &c.slot;
         let core = ConsensusAgent::core(slot);
         initial_colors.push(core.color);
         verify_failures.push(core.verify_failure);
@@ -1074,6 +1159,57 @@ mod tests {
             send_budget: None,
         };
         assert!(!staggered.is_single_consensus());
+    }
+
+    #[test]
+    fn voter_set_boundaries_cover_inline_and_heap_words() {
+        for n in [63usize, 64, 65, 128, 129, 130] {
+            let inline = n <= INLINE_VOTERS;
+            let mut a = VoterSet::empty(n);
+            assert_eq!(matches!(a.words, VoterWords::Inline(_)), inline, "n = {n}");
+            assert_eq!(a.width_bits(), n as u64, "n = {n}");
+            assert_eq!(a.count(), 0);
+            // Both ends of the id range and both sides of every word seam
+            // below n.
+            let mut ids: Vec<AgentId> = [0, 62, 63, 64, 65, 127, 128, 129, n - 1]
+                .into_iter()
+                .filter(|&id| id < n)
+                .map(|id| id as AgentId)
+                .collect();
+            ids.sort_unstable();
+            ids.dedup();
+            for &id in &ids {
+                assert!(!a.contains(id), "n = {n}: {id} absent before insert");
+                assert!(a.insert(id), "n = {n}: {id} is new");
+                assert!(!a.insert(id), "n = {n}: {id} reinserted");
+                assert!(a.contains(id), "n = {n}: {id} present");
+            }
+            assert_eq!(a.count(), ids.len(), "n = {n}");
+
+            // A union adds exactly the ids the other set has and we lack.
+            let mut b = VoterSet::empty(n);
+            for id in (1..n as AgentId).step_by(2) {
+                b.insert(id);
+            }
+            let before = a.clone();
+            a.union_with(&b);
+            for id in 0..n as AgentId {
+                assert_eq!(a.contains(id), before.contains(id) || b.contains(id), "n = {n}: {id}");
+            }
+            let odd = n / 2;
+            let even_in_a = ids.iter().filter(|&&id| id % 2 == 0).count();
+            assert_eq!(a.count(), odd + even_in_a, "n = {n}");
+            assert_eq!(a.width_bits(), n as u64, "union keeps the width");
+
+            // Full sets count n, whatever the representation.
+            let mut full = VoterSet::empty(n);
+            for id in 0..n as AgentId {
+                full.insert(id);
+            }
+            assert_eq!(full.count(), n, "n = {n}");
+            a.union_with(&full);
+            assert_eq!(a, full, "n = {n}: union with the full set is the full set");
+        }
     }
 
     #[test]
@@ -1138,6 +1274,62 @@ mod tests {
         for inst in &report.instances {
             assert_eq!(inst.decided, 16);
         }
+    }
+
+    #[test]
+    fn retired_cells_leave_the_act_loop_and_dormant_cells_stay() {
+        // Consensus (High), an early rumor (High) and a late rumor (Low,
+        // dormant until round 30) on a complete graph of 16.
+        let plan = InstancePlan::consensus(1)
+            .with_spec(InstanceSpec::new(InstanceKind::RumorVote { k: 12 }))
+            .with_spec(
+                InstanceSpec::new(InstanceKind::RumorVote { k: 12 })
+                    .priority(Priority::Low)
+                    .start_at(30),
+            );
+        let cfg = RunConfig::builder(16).gamma(3.0).colors(vec![8, 8]).instances(plan).build();
+        let window = cfg.params().total_rounds();
+        assert!(window > 30, "the consensus window outlasts the late start");
+        let mut net = plane_network(&cfg, 5);
+        let rumor_decided = |net: &Network<PlaneMsg, MuxAgent>, i: AgentId, j: usize| {
+            let CellInner::Rumor(core) = &net.agent(i).cells[j].inner else { unreachable!() };
+            core.decided_at
+        };
+        net.enter_phase("instances");
+
+        net.run(30); // acts of rounds 0..=29
+        for i in 0..16 {
+            let d = rumor_decided(&net, i, 1).expect("the early rumor decided by round 29");
+            assert!(d < 29, "decided before the round-29 act");
+            let a = net.agent(i);
+            assert_eq!(a.live[Priority::High as usize], vec![0], "agent {i}: the decided rumor retired");
+            assert_eq!(a.live[Priority::Low as usize], vec![2], "agent {i}: the dormant cell stays");
+            assert_eq!(a.classes, [vec![0, 1], vec![2]], "classes never shrink");
+        }
+
+        net.run(window + 1 - 30); // the act of round `window` finalizes
+        for i in 0..16 {
+            let a = net.agent(i);
+            let CellInner::Consensus(c) = &a.cells[0].inner else { unreachable!() };
+            assert!(c.finalized, "agent {i}: consensus finalized at the window's end");
+            assert!(a.live[Priority::High as usize].is_empty(), "agent {i}: consensus retired");
+            // The late rumor is admitted and, once decided, retired too.
+            let live_low = &a.live[Priority::Low as usize];
+            match rumor_decided(&net, i, 2) {
+                Some(d) if d + 30 < window => assert!(live_low.is_empty(), "agent {i}"),
+                _ => {}
+            }
+        }
+
+        // Retired cells still answer pulls: the rest of the run and the
+        // report match a straight run_plane.
+        let total = 30 + window;
+        net.run(total - net.round());
+        net.finalize();
+        let manual = collect_plane_report(&net, &cfg);
+        let straight = run_plane(&cfg, 5);
+        assert_eq!(format!("{:?}", manual.instances), format!("{:?}", straight.instances));
+        assert_eq!(manual.aggregate, straight.aggregate);
     }
 
     #[test]
