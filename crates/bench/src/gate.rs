@@ -707,7 +707,10 @@ mod tests {
         let base = vec![table(
             "E17",
             &["instances", "instances/s", "digest"],
-            &[&["10", "500", "35ede45e9af3e885"], &["100", "400", "a8ebb3b711dcc094"]],
+            &[
+                &["10", "500", "35ede45e9af3e885"],
+                &["100", "400", "a8ebb3b711dcc094"],
+            ],
         )];
         let r = compare(&base, &base, 0.20);
         assert!(r.pass(), "{:?}", r.failures);
@@ -717,11 +720,18 @@ mod tests {
         let drifted = vec![table(
             "E17",
             &["instances", "instances/s", "digest"],
-            &[&["10", "500", "35ede45e9af3e885"], &["100", "400", "a8ebb3b711dcc095"]],
+            &[
+                &["10", "500", "35ede45e9af3e885"],
+                &["100", "400", "a8ebb3b711dcc095"],
+            ],
         )];
         let r = compare(&base, &drifted, 0.20);
         assert_eq!(r.failures.len(), 1, "{:?}", r.failures);
-        assert!(r.failures[0].contains("E17 [100] digest"), "{}", r.failures[0]);
+        assert!(
+            r.failures[0].contains("E17 [100] digest"),
+            "{}",
+            r.failures[0]
+        );
 
         // Best-of-N does not apply: one drifted capture among good ones fails.
         let mut both = base.clone();
@@ -729,10 +739,19 @@ mod tests {
         assert!(!compare(&base, &both, 0.20).pass());
 
         // A fresh capture without the digest column fails coverage.
-        let no_digest =
-            vec![table("E17", &["instances", "instances/s"], &[&["10", "500"], &["100", "400"]])];
+        let no_digest = vec![table(
+            "E17",
+            &["instances", "instances/s"],
+            &[&["10", "500"], &["100", "400"]],
+        )];
         let r = compare(&base, &no_digest, 0.20);
-        assert!(r.failures.iter().any(|f| f.contains("column \"digest\" missing")), "{:?}", r.failures);
+        assert!(
+            r.failures
+                .iter()
+                .any(|f| f.contains("column \"digest\" missing")),
+            "{:?}",
+            r.failures
+        );
 
         // A digest-only table is compared, not skipped.
         let only = vec![table("E16", &["n", "digest"], &[&["512", "abc"]])];
@@ -741,7 +760,11 @@ mod tests {
         assert!(!compare(&only, &moved, 0.20).pass());
 
         // Landmarks keep their handling: absent ⇒ note; present ⇒ digest gated.
-        let mut landmark = table("E16L", &["n", "rounds/s", "digest"], &[&["10000000", "0.5", "9073"]]);
+        let mut landmark = table(
+            "E16L",
+            &["n", "rounds/s", "digest"],
+            &[&["10000000", "0.5", "9073"]],
+        );
         landmark.title = "E16L — 10⁷-agent landmark (manual capture)".into();
         let r = compare(std::slice::from_ref(&landmark), &[], 0.20);
         assert!(r.pass(), "{:?}", r.failures);

@@ -49,6 +49,15 @@
 //! spend the budget first (rotating within a class for fairness), and a
 //! budget-skipped *pull* is observed by its cell as peer silence — a
 //! deferred `on_reply(None)` delivered before the cell next acts.
+//!
+//! ## Cost
+//!
+//! A round costs each node its *live* cells: a cell leaves the act loop
+//! once it can never act again (a decided rumor cell, a finalized
+//! consensus cell), while dormant cells stay. Retired cells keep
+//! answering pulls, receiving pushes and finalizing, and a budget's
+//! rotation is still taken over the full class, so retirement is
+//! invisible in every report.
 
 use crate::agent_plane::AgentSlot;
 use crate::engine::{ConsensusAgent, ProtocolCore, Role};
@@ -208,7 +217,7 @@ impl Default for InstancePlan {
 /// Largest agent count whose [`VoterSet`] keeps its bitmap inline, so
 /// that cloning the set (one clone per rumor push and pull reply) never
 /// allocates. Larger sets keep their words on the heap.
-pub const INLINE_VOTERS: usize = 128;
+const INLINE_VOTERS: usize = 128;
 
 const INLINE_WORDS: usize = INLINE_VOTERS / 64;
 
@@ -1302,8 +1311,9 @@ mod tests {
             let d = rumor_decided(&net, i, 1).expect("the early rumor decided by round 29");
             assert!(d < 29, "decided before the round-29 act");
             let a = net.agent(i);
-            assert_eq!(a.live[Priority::High as usize], vec![0], "agent {i}: the decided rumor retired");
-            assert_eq!(a.live[Priority::Low as usize], vec![2], "agent {i}: the dormant cell stays");
+            let (high, low) = (&a.live[Priority::High as usize], &a.live[Priority::Low as usize]);
+            assert_eq!(high, &[0], "agent {i}: the decided rumor retired");
+            assert_eq!(low, &[2], "agent {i}: the dormant cell stays");
             assert_eq!(a.classes, [vec![0, 1], vec![2]], "classes never shrink");
         }
 

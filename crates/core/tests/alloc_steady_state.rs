@@ -220,3 +220,25 @@ fn lossy_steady_state_rounds_are_zero_alloc() {
         }
     }
 }
+
+#[test]
+fn voter_sets_clone_without_allocating_up_to_128_agents() {
+    // Every rumor push and pull reply clones the sender's voter set, so
+    // an inline set is what keeps rumor traffic off the allocator.
+    use rfc_core::instances::VoterSet;
+    let _window = exclusive();
+    for (n, allocs_per_clone) in [(16usize, 0u64), (64, 0), (128, 0), (129, 1), (1024, 1)] {
+        let mut set = VoterSet::empty(n);
+        set.insert(0);
+        set.insert(n as u32 - 1);
+        MEASURING.with(|m| m.set(true));
+        let before = alloc_calls();
+        for _ in 0..8 {
+            let copy = std::hint::black_box(&set).clone();
+            std::hint::black_box(&copy);
+        }
+        let allocs = alloc_calls() - before;
+        MEASURING.with(|m| m.set(false));
+        assert_eq!(allocs, 8 * allocs_per_clone, "n = {n}: allocations for 8 clones");
+    }
+}

@@ -155,7 +155,8 @@ fn budgeted_plan() -> InstancePlan {
 fn pinned_corpus() -> Vec<(String, RunConfig, u64)> {
     let mut rows = Vec::new();
     for threads in [1usize, 2] {
-        rows.push((format!("mixed/n16/loss-0.25/t{threads}"), lossy_cfg(mixed_plan(3), threads), 9));
+        let label = format!("mixed/n16/loss-0.25/t{threads}");
+        rows.push((label, lossy_cfg(mixed_plan(3), threads), 9));
     }
     rows.push((
         "budget2/n16/high-low".to_string(),
