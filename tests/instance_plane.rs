@@ -151,6 +151,20 @@ fn budgeted_plan() -> InstancePlan {
     plan.budget(2)
 }
 
+/// A `budget(3)` plan of ten rumor instances whose `k` spans 2..=16, so
+/// cells decide and retire at very different rounds while more of them
+/// than the budget stay live: which cells get the budget then depends
+/// on the rotation being taken over the full class.
+fn staggered_k_plan() -> InstancePlan {
+    let mut plan = InstancePlan { specs: Vec::new(), send_budget: None };
+    for j in 0..10 {
+        let prio = if j % 3 == 2 { Priority::Low } else { Priority::High };
+        let k = 2 + j * 14 / 9;
+        plan = plan.with_spec(InstanceSpec::new(InstanceKind::RumorVote { k }).priority(prio));
+    }
+    plan.budget(3)
+}
+
 /// The pinned rows: label → (config, seed).
 fn pinned_corpus() -> Vec<(String, RunConfig, u64)> {
     let mut rows = Vec::new();
@@ -171,6 +185,11 @@ fn pinned_corpus() -> Vec<(String, RunConfig, u64)> {
             .instances(budgeted_plan())
             .build(),
         19,
+    ));
+    rows.push((
+        "budget3/n16/staggered-k".to_string(),
+        RunConfig::builder(16).gamma(3.0).instances(staggered_k_plan()).build(),
+        23,
     ));
     for count in [1usize, 10, 100] {
         rows.push((
@@ -213,6 +232,7 @@ const PINNED_PLANES: &[(&str, u64)] = &[
     ("mixed/n16/loss-0.25/t2", 0x42945e66a99337a7),
     ("budget2/n16/high-low", 0xee29e697817ad297),
     ("budget2/n16/high-low+loss-0.2", 0x33df7aece61c99a1),
+    ("budget3/n16/staggered-k", 0x752881ea79c324a3),
     ("rumor/n16/x1", 0x0a91f626d56471eb),
     ("rumor/n16/x10", 0x4d158248412bb7fa),
     ("rumor/n16/x100", 0x8c07c2486f8eead5),
