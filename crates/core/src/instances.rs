@@ -1171,7 +1171,8 @@ mod tests {
     }
 
     #[test]
-    fn voter_set_boundaries_cover_inline_and_heap_words() {
+    fn voter_set_counts_and_unions() {
+        // Both sides of the inline/heap boundary at `INLINE_VOTERS`.
         for n in [63usize, 64, 65, 128, 129, 130] {
             let inline = n <= INLINE_VOTERS;
             let mut a = VoterSet::empty(n);
@@ -1219,20 +1220,6 @@ mod tests {
             a.union_with(&full);
             assert_eq!(a, full, "n = {n}: union with the full set is the full set");
         }
-    }
-
-    #[test]
-    fn voter_set_counts_and_unions() {
-        let mut a = VoterSet::empty(130);
-        assert!(a.insert(0));
-        assert!(a.insert(129));
-        assert!(!a.insert(0), "reinsert is not fresh");
-        let mut b = VoterSet::empty(130);
-        b.insert(64);
-        a.union_with(&b);
-        assert_eq!(a.count(), 3);
-        assert!(a.contains(64) && a.contains(129));
-        assert_eq!(a.width_bits(), 130);
     }
 
     #[test]
